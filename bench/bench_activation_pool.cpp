@@ -47,7 +47,7 @@ double now_ms() {
 }
 
 /// Wide parmap of cheap operators joined by an iterate fold: one burst
-/// of 512 activations, then reuse (same shape as bench_scheduler's
+/// of 512 activations, then reuse (same shape as bench_trace_overhead's
 /// fan-out program).
 const char* kFanOutSource = R"(
 work(x) add(mul(x, x), incr(x))

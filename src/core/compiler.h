@@ -42,7 +42,7 @@ struct PassTimings {
   double env_ms = 0;
   double opt_ms = 0;
   double graph_ms = 0;
-  double analysis_ms = 0;  // graph verifier + sole-consumer analysis
+  double analysis_ms = 0;  // verifier + sched hints + sole-consumer analysis
 
   double total_ms() const {
     return lex_ms + parse_ms + macro_ms + env_ms + opt_ms + graph_ms + analysis_ms;

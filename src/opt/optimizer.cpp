@@ -26,13 +26,6 @@ Expr* const_to_expr(const ConstValue& v, AstContext& ctx, SourceRange range) {
   return ctx.make_string(std::get<std::string>(v), range);
 }
 
-bool const_truthy(const ConstValue& v) {
-  if (std::holds_alternative<std::monostate>(v)) return false;
-  if (const auto* i = std::get_if<int64_t>(&v)) return *i != 0;
-  if (const auto* d = std::get_if<double>(&v)) return *d != 0.0;
-  return true;  // strings are always true
-}
-
 bool is_pure_expr(const Expr* e, const OperatorTable& operators) {
   if (e == nullptr) return false;
   switch (e->kind) {

@@ -75,8 +75,4 @@ bool is_pure_expr(const Expr* e, const OperatorTable& operators);
 bool expr_to_const(const Expr* e, ConstValue& out);
 Expr* const_to_expr(const ConstValue& v, AstContext& ctx, SourceRange range);
 
-/// Truthiness shared between the optimizer and the runtime: NULL, integer
-/// zero, and float zero are false; everything else is true.
-bool const_truthy(const ConstValue& v);
-
 }  // namespace delirium

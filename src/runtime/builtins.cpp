@@ -72,13 +72,6 @@ bool const_equal(const ConstValue& a, const ConstValue& b) {
 
 bool value_equal(const Value& a, const Value& b) { return deep_equal(a, b); }
 
-bool const_truthy_local(const ConstValue& v) {
-  if (std::holds_alternative<std::monostate>(v)) return false;
-  if (const auto* i = std::get_if<int64_t>(&v)) return *i != 0;
-  if (const auto* d = std::get_if<double>(&v)) return *d != 0.0;
-  return true;
-}
-
 std::mutex& print_mutex() {
   static std::mutex mu;
   return mu;
@@ -209,7 +202,7 @@ void register_builtin_operators(OperatorRegistry& r) {
       .pure()
       .fold([](std::span<const ConstValue> a) -> std::optional<ConstValue> {
         if (a.size() != 1) return std::nullopt;
-        return ConstValue{static_cast<int64_t>(const_truthy_local(a[0]) ? 0 : 1)};
+        return ConstValue{static_cast<int64_t>(const_truthy(a[0]) ? 0 : 1)};
       });
   r.add("and", 2,
         [](OpContext& ctx) {
@@ -220,7 +213,7 @@ void register_builtin_operators(OperatorRegistry& r) {
       .fold([](std::span<const ConstValue> a) -> std::optional<ConstValue> {
         if (a.size() != 2) return std::nullopt;
         return ConstValue{
-            static_cast<int64_t>(const_truthy_local(a[0]) && const_truthy_local(a[1]) ? 1 : 0)};
+            static_cast<int64_t>(const_truthy(a[0]) && const_truthy(a[1]) ? 1 : 0)};
       });
   r.add("or", 2,
         [](OpContext& ctx) {
@@ -231,7 +224,7 @@ void register_builtin_operators(OperatorRegistry& r) {
       .fold([](std::span<const ConstValue> a) -> std::optional<ConstValue> {
         if (a.size() != 2) return std::nullopt;
         return ConstValue{
-            static_cast<int64_t>(const_truthy_local(a[0]) || const_truthy_local(a[1]) ? 1 : 0)};
+            static_cast<int64_t>(const_truthy(a[0]) || const_truthy(a[1]) ? 1 : 0)};
       });
 
   // --- strings -------------------------------------------------------------

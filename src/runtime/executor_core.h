@@ -49,8 +49,8 @@
 // fault or final value still lands in its own instance's state
 // (src/runtime/instance.h).
 //
-// Scheduler choice (global-lock vs work-stealing), parking, and the
-// drain/watchdog drivers stay Machine-side: they are machine models, not
+// The ready queue (work-stealing deques, or the simulator's select()),
+// parking, and the drain/watchdog drivers stay Machine-side: they are machine models, not
 // graph semantics.
 #pragma once
 
@@ -206,10 +206,9 @@ struct RunStats {
   uint64_t remote_bytes_pulled = 0; // payload bytes of cross-domain pulls
   Ticks operator_ticks = 0;         // total time inside operators
 
-  // Scheduler counters. The global-lock scheduler fills only the enqueue
-  // split (every enqueue is "local": one shared queue); SimRuntime
-  // reports every virtual enqueue as local and the rest as zero, so
-  // tooling sees one schema across all three executors.
+  // Scheduler counters. SimRuntime reports every virtual enqueue as
+  // local and the rest as zero, so tooling sees one schema across both
+  // executors.
   uint64_t sched_local_enqueues = 0;     // pushed to the enqueuer's own deque
   uint64_t sched_injected_enqueues = 0;  // crossed workers via an MPSC inbox
   uint64_t sched_steals = 0;             // items taken from a victim's deque

@@ -20,6 +20,17 @@ namespace delirium {
 /// std::monostate represents NULL.
 using ConstValue = std::variant<std::monostate, int64_t, double, std::string>;
 
+/// Truthiness of a constant, the compile-time twin of Value::truthy():
+/// NULL, integer zero, and float zero (either sign) are false; every
+/// other value, strings included, is true. Branch folding and the
+/// not/and/or folders use this one rule.
+inline bool const_truthy(const ConstValue& v) {
+  if (std::holds_alternative<std::monostate>(v)) return false;
+  if (const auto* i = std::get_if<int64_t>(&v)) return *i != 0;
+  if (const auto* d = std::get_if<double>(&v)) return *d != 0.0;
+  return true;
+}
+
 /// Folds an application of a pure operator over constant arguments.
 /// Returns nullopt when the operator cannot fold these inputs.
 using ConstFolder =

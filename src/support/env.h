@@ -3,11 +3,10 @@
 // Every runtime and analysis kill switch used to parse its own getenv()
 // result, each with slightly different (and mostly silent) failure
 // behavior: DELIRIUM_TRACE treated any non-"0" string as on,
-// DELIRIUM_TRACE_CAPACITY swallowed garbage via strtoll, and
-// DELIRIUM_SCHEDULER ignored unknown names outright — so a typo like
-// DELIRIUM_SCHEDULER=work-stealing silently benchmarked the wrong
-// scheduler. PR 4 fixed this for DELIRIUM_INJECT_FAULTS only; these
-// helpers extend the same contract to every knob: a malformed value
+// DELIRIUM_TRACE_CAPACITY swallowed garbage via strtoll, and choice
+// knobs ignored unknown names outright — so a typo silently ran the
+// default policy. DELIRIUM_INJECT_FAULTS was the first knob to reject
+// malformed input; these helpers extend the same contract to every knob: a malformed value
 // throws EnvError naming the variable and the offending text, and an
 // unset variable falls back to the caller's default.
 #pragma once

@@ -2,6 +2,10 @@
 // constant folder (they must agree).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace delirium {
@@ -86,6 +90,43 @@ TEST(Builtins, Logic) {
   check_int("and(1, 0)", 0);
   check_int("or(0, 2)", 1);
   check_int("or(0, NULL)", 0);
+}
+
+TEST(Builtins, LogicFoldsAgreeWithRuntimeOnEveryTruthinessCase) {
+  // The not/and/or folders and the optimizer's branch folding share
+  // const_truthy; the operators themselves use Value::truthy. Both rules
+  // must agree on every kind of constant, including -0.0 and "".
+  auto reg = testing::builtin_registry();
+  const std::vector<ConstValue> table = {
+      ConstValue{},           ConstValue{int64_t{0}}, ConstValue{int64_t{1}},
+      ConstValue{0.0},        ConstValue{-0.0},       ConstValue{2.5},
+      ConstValue{std::string()}, ConstValue{std::string("x")}};
+  // Table rows by index; the failure message names the rows used.
+  const auto check = [&](const std::string& op, const std::vector<size_t>& rows) {
+    const OperatorDef& def = reg->at(static_cast<size_t>(reg->index_of(op)));
+    std::vector<ConstValue> consts;
+    std::vector<Value> args;
+    std::string where = op;
+    for (const size_t r : rows) {
+      consts.push_back(table[r]);
+      args.push_back(Value::from_const(table[r]));
+      where += " row" + std::to_string(r);
+    }
+    const std::optional<ConstValue> folded = def.info.fold(consts);
+    ASSERT_TRUE(folded.has_value()) << where;
+    OpContext ctx(def, args, 0);
+    EXPECT_TRUE(deep_equal(Value::from_const(*folded), def.fn(ctx))) << where;
+  };
+  for (size_t a = 0; a < table.size(); ++a) {
+    check("not", {a});
+    for (size_t b = 0; b < table.size(); ++b) {
+      check("and", {a, b});
+      check("or", {a, b});
+    }
+  }
+  // Spot-check the rule itself: only NULL and numeric zeros are false.
+  EXPECT_FALSE(const_truthy(ConstValue{-0.0}));
+  EXPECT_TRUE(const_truthy(ConstValue{std::string()}));
 }
 
 TEST(Builtins, Strings) {

@@ -2,8 +2,8 @@
 // is deterministic ... regardless of the number of processors you are
 // using and the order of execution." These property tests run generated
 // programs and hand-written workloads through the ExecutorFixture
-// matrix — both threaded schedulers × {1, 2, 8} workers plus the
-// virtual-time simulator — asserting identical values, counters, and
+// matrix — threaded × {1, 2, 8} workers plus the virtual-time
+// simulator — asserting identical values, counters, and
 // deterministic trace multisets everywhere.
 #include <gtest/gtest.h>
 

@@ -2,9 +2,9 @@
 // knob shares one contract — unset (or empty) falls back to the
 // caller's default, a well-formed value overrides it, and a malformed
 // value throws EnvError naming the variable and quoting the offending
-// text. The end-to-end cases pin the motivating bug: a typo like
-// DELIRIUM_SCHEDULER=work-stealing must fail loudly, not silently
-// benchmark the wrong scheduler.
+// text. The end-to-end cases pin the motivating bug: a typo in a choice
+// knob (DELIRIUM_AFFINITY=date) must fail loudly at construction, not
+// silently run the default policy.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -112,21 +112,23 @@ TEST(EnvChoice, ReturnsIndexAndListsSpellingsOnError) {
 // ---------------------------------------------------------------------------
 
 TEST(EnvKnobs, SchedulerTypoFailsLoudlyAtConstruction) {
-  ScopedEnv env({"DELIRIUM_SCHEDULER"});
+  // DELIRIUM_AFFINITY is the scheduling-affinity knob; it goes through the
+  // same env_choice as every other choice knob.
+  ScopedEnv env({"DELIRIUM_AFFINITY"});
   auto reg = testing::builtin_registry();
-  env.set("DELIRIUM_SCHEDULER", "work-stealing");  // the motivating typo
+  env.set("DELIRIUM_AFFINITY", "date");  // a typo of "data"
   try {
     Runtime runtime(*reg, {.num_workers = 1});
     FAIL() << "expected EnvError";
   } catch (const EnvError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("DELIRIUM_SCHEDULER"), std::string::npos) << what;
-    EXPECT_NE(what.find("'work-stealing'"), std::string::npos) << what;
-    EXPECT_NE(what.find("work_stealing"), std::string::npos) << what;
+    EXPECT_NE(what.find("DELIRIUM_AFFINITY"), std::string::npos) << what;
+    EXPECT_NE(what.find("'date'"), std::string::npos) << what;
+    EXPECT_NE(what.find("none, operator, data"), std::string::npos) << what;
   }
-  env.set("DELIRIUM_SCHEDULER", "global_lock");
+  env.set("DELIRIUM_AFFINITY", "data");
   Runtime runtime(*reg, {.num_workers = 1});
-  EXPECT_EQ(runtime.config().scheduler, SchedulerKind::kGlobalLock);
+  EXPECT_EQ(runtime.config().affinity, AffinityMode::kData);
 }
 
 TEST(EnvKnobs, TraceFlagRejectsGarbage) {

@@ -34,7 +34,7 @@ TEST(FaultEquivalence, IdenticalReportAcrossSchedulersWorkerCountsAndSim) {
   testing::ExecutorFixture fixture(*reg);
   fixture.compile_options().optimize = false;
   // The fixture asserts the byte-identical report and fault count across
-  // both schedulers × {1, 2, 8} workers and the simulator at 1/4 procs.
+  // {1, 2, 8} threaded workers and the simulator at 1/4 procs.
   const testing::ExecutorOutcome ref = fixture.expect_equivalent(R"(
     inner(x) boom_a(x)
     main() add(inner(1), boom_b(2))
@@ -109,7 +109,7 @@ TEST(FaultEquivalence, InjectionWithRetriesMatchesFaultFreeValues) {
   // The every= selector hashes (seed, activation seq, node): structural,
   // so the set of injected invocations — and hence the injection/retry
   // counters and kRetry trace events the fixture compares — is identical
-  // across executors, schedulers, and worker counts.
+  // across executors and worker counts.
   testing::ExecutorFixture fixture(*fault_reg);
   fixture.config().max_retries = 2;
   const testing::ExecutorOutcome ref = fixture.expect_equivalent(source);

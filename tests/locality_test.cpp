@@ -317,7 +317,6 @@ TEST(LocalityCost, ThreadedStealSplitSumsToTotalSteals) {
        {MemoryTopology::uma(), MemoryTopology::numa2(), MemoryTopology::flat(0)}) {
     RuntimeConfig config;
     config.num_workers = 4;
-    config.scheduler = SchedulerKind::kWorkStealing;
     config.topology = topo;
     Runtime runtime(*reg, config);
     runtime.run(program);

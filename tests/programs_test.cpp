@@ -43,6 +43,13 @@ struct Golden {
   double tolerance;  // 0 = exact integer
 };
 
+// Without this, GoogleTest prints the raw bytes of the parameter, and the
+// `file` pointer in them changes with every run under address-space
+// randomisation, so the listed test names would never be the same twice.
+void PrintTo(const Golden& golden, std::ostream* os) {
+  *os << golden.file;
+}
+
 class DlrPrograms : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(DlrPrograms, ComputesGoldenResultEverywhere) {

@@ -10,7 +10,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/delirium.h"
 #include "src/tools/report.h"
@@ -150,7 +152,7 @@ TEST(Cli, HelpNamesEveryDocumentedFlag) {
     EXPECT_TRUE(help_flags.count(flag)) << flag << " missing from delc --help";
   }
   // The env knobs must be documented alongside the flags.
-  for (const char* env : {"DELIRIUM_EXECUTOR", "DELIRIUM_SCHEDULER",
+  for (const char* env : {"DELIRIUM_EXECUTOR", "DELIRIUM_AFFINITY",
                           "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",
                           "DELIRIUM_TRACE", "DELIRIUM_TRACE_CAPACITY",
                           "DELIRIUM_ACTIVATION_POOL"}) {
@@ -209,7 +211,7 @@ TEST(Cli, ExecutorFlagSelectsEngine) {
 
 TEST(Cli, AnalyzeJsonIsDeterministicAcrossSchedulersAndWorkers) {
   // The fact table is a pure function of (program, operator table):
-  // scheduler choice, worker counts, and executor env must not move a
+  // scheduling affinity, worker counts, and executor env must not move a
   // byte of the --analyze report.
   const std::string program = ::testing::TempDir() + "/delc_analyze_test.dlr";
   {
@@ -221,20 +223,25 @@ TEST(Cli, AnalyzeJsonIsDeterministicAcrossSchedulersAndWorkers) {
   }
   const std::string delc = std::string(DELIRIUM_DELC_PATH);
   const std::string base = " " + delc + " --analyze --format json --no-opt " + program;
+  const std::string hermetic = "env -u DELIRIUM_AFFINITY -u DELIRIUM_EXECUTOR";
 
-  auto [ref_status, ref] = run_command("env -u DELIRIUM_SCHEDULER " + base);
+  auto [ref_status, ref] = run_command(hermetic + base);
   EXPECT_EQ(ref_status, 0);
   EXPECT_NE(ref.find("\"facts\""), std::string::npos) << ref;
-  for (const char* env :
-       {"DELIRIUM_SCHEDULER=global_lock", "DELIRIUM_SCHEDULER=work_stealing",
-        "DELIRIUM_EXECUTOR=sim", "DELIRIUM_COST_HINTS=0"}) {
-    auto [status, out] = run_command("env " + std::string(env) + base);
-    EXPECT_EQ(status, 0) << env;
-    EXPECT_EQ(out, ref) << env;
+  const std::string perturbed[] = {
+      hermetic + " DELIRIUM_AFFINITY=data" + base,
+      hermetic + base + " --workers 7",
+      hermetic + " DELIRIUM_EXECUTOR=sim" + base,
+      hermetic + " DELIRIUM_COST_HINTS=0" + base,
+  };
+  for (const std::string& cmd : perturbed) {
+    auto [status, out] = run_command(cmd);
+    EXPECT_EQ(status, 0) << cmd;
+    EXPECT_EQ(out, ref) << cmd;
   }
 
   // Text mode goes through the same facts table; spot-check its sections.
-  auto [text_status, text] = run_command("env -u DELIRIUM_SCHEDULER " + delc +
+  auto [text_status, text] = run_command(hermetic + " " + delc +
                                          " --analyze --no-opt " + program);
   EXPECT_EQ(text_status, 0);
   EXPECT_NE(text.find("analysis: template 'main'"), std::string::npos) << text;
@@ -246,6 +253,35 @@ TEST(Cli, AnalyzeJsonIsDeterministicAcrossSchedulersAndWorkers) {
   EXPECT_EQ(off_status, 0);
   EXPECT_NE(off.find("\"enabled\": false"), std::string::npos) << off;
   EXPECT_NE(off.find("\"findings\""), std::string::npos) << off;
+}
+
+TEST(Cli, TimingsRowsSumToTotal) {
+  // Every pass that compile_source times gets a row, so the rows add up
+  // to the printed Total (within the 0.005 ms rounding of each row).
+  const std::string program = std::string(DELIRIUM_PROGRAMS_DIR) + "/mergesort.dlr";
+  auto [status, out] = run_command(std::string(DELIRIUM_DELC_PATH) + " --timings " +
+                                   program + " 2>/dev/null");
+  ASSERT_EQ(status, 0) << out;
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> rows;
+  double sum = 0;
+  double total = -1;
+  while (std::getline(lines, line)) {
+    if (line.rfind("  ", 0) != 0) continue;
+    const size_t split = line.find_last_of(' ');
+    const std::string name = line.substr(0, line.find_last_not_of(' ', split) + 1);
+    const double ms = std::stod(line.substr(split + 1));
+    if (name == "  Total") {
+      total = ms;
+    } else {
+      rows.push_back(name);
+      sum += ms;
+    }
+  }
+  ASSERT_GE(total, 0) << out;
+  EXPECT_EQ(rows.size(), 7u) << out;
+  EXPECT_NEAR(sum, total, 0.005 * static_cast<double>(rows.size() + 1)) << out;
 }
 
 }  // namespace
