@@ -223,19 +223,31 @@ void ActivationPool::flush_all(TlsCache& cache) noexcept {
 // StatCounters
 // ---------------------------------------------------------------------------
 
+namespace {
+/// Every sharded counter, for reset() and snapshot().
+constexpr std::atomic<uint64_t> StatShard::*kShardFields[] = {
+    &StatShard::activations_created,   &StatShard::nodes_executed,
+    &StatShard::operator_invocations,  &StatShard::cow_copies,
+    &StatShard::cow_skipped,           &StatShard::sched_local_enqueues,
+    &StatShard::sched_hint_promotions, &StatShard::sched_cost_promotions,
+};
+}  // namespace
+
+void StatCounters::init_shards(int owners) {
+  owners_ = owners;
+  shards_ = std::make_unique<StatShard[]>(static_cast<size_t>(owners) + 1);
+}
+
 void StatCounters::reset() {
-  activations_created.store(0);
+  for (int s = 0; s <= owners_; ++s) {
+    for (auto field : kShardFields) (shards_[static_cast<size_t>(s)].*field).store(0);
+  }
   // live_activations is a gauge (activations alive right now), not a
   // per-run counter — it survives the reset.
   peak_live_activations.store(0);
-  nodes_executed.store(0);
-  operator_invocations.store(0);
-  cow_copies.store(0);
-  cow_skipped.store(0);
   remote_block_moves.store(0);
   remote_bytes_pulled.store(0);
   operator_ticks.store(0);
-  sched_local_enqueues.store(0);
   sched_injected_enqueues.store(0);
   sched_steals.store(0);
   sched_failed_steals.store(0);
@@ -243,8 +255,6 @@ void StatCounters::reset() {
   sched_remote_steals.store(0);
   sched_parks.store(0);
   sched_wakeups.store(0);
-  sched_hint_promotions.store(0);
-  sched_cost_promotions.store(0);
   faults_raised.store(0);
   faults_injected.store(0);
   retries.store(0);
@@ -259,16 +269,23 @@ void StatCounters::reset() {
 }
 
 void StatCounters::snapshot(RunStats& out) const {
-  out.activations_created = activations_created.load();
+  const auto sum = [this](std::atomic<uint64_t> StatShard::*field) {
+    uint64_t total = 0;
+    for (int s = 0; s <= owners_; ++s) {
+      total += (shards_[static_cast<size_t>(s)].*field).load();
+    }
+    return total;
+  };
+  out.activations_created = sum(&StatShard::activations_created);
   out.peak_live_activations = peak_live_activations.load();
-  out.nodes_executed = nodes_executed.load();
-  out.operator_invocations = operator_invocations.load();
-  out.cow_copies = cow_copies.load();
-  out.cow_skipped = cow_skipped.load();
+  out.nodes_executed = sum(&StatShard::nodes_executed);
+  out.operator_invocations = sum(&StatShard::operator_invocations);
+  out.cow_copies = sum(&StatShard::cow_copies);
+  out.cow_skipped = sum(&StatShard::cow_skipped);
   out.remote_block_moves = remote_block_moves.load();
   out.remote_bytes_pulled = remote_bytes_pulled.load();
   out.operator_ticks = operator_ticks.load();
-  out.sched_local_enqueues = sched_local_enqueues.load();
+  out.sched_local_enqueues = sum(&StatShard::sched_local_enqueues);
   out.sched_injected_enqueues = sched_injected_enqueues.load();
   out.sched_steals = sched_steals.load();
   out.sched_failed_steals = sched_failed_steals.load();
@@ -276,8 +293,8 @@ void StatCounters::snapshot(RunStats& out) const {
   out.sched_remote_steals = sched_remote_steals.load();
   out.sched_parks = sched_parks.load();
   out.sched_wakeups = sched_wakeups.load();
-  out.sched_hint_promotions = sched_hint_promotions.load();
-  out.sched_cost_promotions = sched_cost_promotions.load();
+  out.sched_hint_promotions = sum(&StatShard::sched_hint_promotions);
+  out.sched_cost_promotions = sum(&StatShard::sched_cost_promotions);
   out.faults_raised = faults_raised.load();
   out.faults_injected = faults_injected.load();
   out.retries = retries.load();

@@ -40,7 +40,9 @@
 //   uint64_t op_arrival(def, op_index, has_plan);  // per-op arrival counter
 //   int last_affinity_worker(op_index);   // operator-affinity memory
 //   void note_affinity(op_index, worker);
-//   void on_activation_created(act) / on_activation_destroyed(act);  // ledger
+//   void on_activation_created(act);      // per-instance activation budget
+//   int shard_of(worker);                 // stat shard of an executing worker
+//   int current_shard();                  // stat/ledger shard of the caller
 //
 // Results and faults are routed by the *activation's* opaque run token
 // (Activation::run), not by any per-machine "current run" notion: the
@@ -370,21 +372,51 @@ struct PoolAllocator {
 // Shared counters
 // ---------------------------------------------------------------------------
 
-/// Atomic accumulators behind RunStats, owned by ExecutorCore. The
-/// threaded runtime hits them from every worker; SimRuntime is
-/// single-threaded, where relaxed atomics cost nothing.
-struct StatCounters {
+/// The counters a node pays on the dispatch hot path, one cache line per
+/// worker. A shard is written only by its owner, with a relaxed load and
+/// store instead of a read-modify-write, so workers never contend for a
+/// counter line; the extra shard at the end belongs to threads outside
+/// the pool (the run's caller) and is the one written with fetch_add.
+struct alignas(64) StatShard {
   std::atomic<uint64_t> activations_created{0};
-  std::atomic<int64_t> live_activations{0};
-  std::atomic<uint64_t> peak_live_activations{0};
   std::atomic<uint64_t> nodes_executed{0};
   std::atomic<uint64_t> operator_invocations{0};
   std::atomic<uint64_t> cow_copies{0};
   std::atomic<uint64_t> cow_skipped{0};
-  std::atomic<uint64_t> remote_block_moves{0};
+  std::atomic<uint64_t> sched_local_enqueues{0};
+  std::atomic<uint64_t> sched_hint_promotions{0};
+  std::atomic<uint64_t> sched_cost_promotions{0};
+};
+
+/// Accumulators behind RunStats, owned by ExecutorCore. The hot counters
+/// live in per-worker StatShards (see above); snapshot() sums the shards
+/// and reset() zeroes them. The rest are shared atomics bumped off the
+/// per-node path (steals, parks, faults, instances). live_activations
+/// and its peak keep an exact machine-wide meaning, so they stay shared
+/// RMWs. SimRuntime is single-threaded and uses one owner shard.
+struct StatCounters {
+  /// Allocate `owners` owner shards plus the external one. Call once,
+  /// before any counting.
+  void init_shards(int owners);
+  /// Index of the shard for threads outside the pool.
+  int external_shard() const { return owners_; }
+
+  /// Add `n` to a sharded counter. `shard` is the calling thread's own
+  /// shard index (owner: plain load + store) or external_shard().
+  void add(int shard, std::atomic<uint64_t> StatShard::*field, uint64_t n = 1) {
+    std::atomic<uint64_t>& c = shards_[static_cast<size_t>(shard)].*field;
+    if (shard < owners_) {
+      c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    } else {
+      c.fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
+  alignas(64) std::atomic<int64_t> live_activations{0};
+  std::atomic<uint64_t> peak_live_activations{0};
+  alignas(64) std::atomic<uint64_t> remote_block_moves{0};
   std::atomic<uint64_t> remote_bytes_pulled{0};
   std::atomic<int64_t> operator_ticks{0};
-  std::atomic<uint64_t> sched_local_enqueues{0};
   std::atomic<uint64_t> sched_injected_enqueues{0};
   std::atomic<uint64_t> sched_steals{0};
   std::atomic<uint64_t> sched_failed_steals{0};
@@ -392,8 +424,6 @@ struct StatCounters {
   std::atomic<uint64_t> sched_remote_steals{0};
   std::atomic<uint64_t> sched_parks{0};
   std::atomic<uint64_t> sched_wakeups{0};
-  std::atomic<uint64_t> sched_hint_promotions{0};
-  std::atomic<uint64_t> sched_cost_promotions{0};
   std::atomic<uint64_t> faults_raised{0};
   std::atomic<uint64_t> faults_injected{0};
   std::atomic<uint64_t> retries{0};
@@ -411,6 +441,10 @@ struct StatCounters {
   void reset();
   /// Copy the counters into the published per-run snapshot.
   void snapshot(RunStats& out) const;
+
+ private:
+  int owners_ = 0;
+  std::unique_ptr<StatShard[]> shards_;  // owners_ + 1
 };
 
 // ---------------------------------------------------------------------------
@@ -467,19 +501,21 @@ class ExecutorCore {
       for (size_t i = 0; i < tmpl->nodes.size(); ++i) {
         pending[i].store(tmpl->nodes[i].num_inputs, std::memory_order_relaxed);
       }
+      const int shard = owner->current_shard();
       StatCounters& c = owner->counters_;
-      c.activations_created.fetch_add(1, std::memory_order_relaxed);
+      c.add(shard, &StatShard::activations_created);
       const int64_t live = c.live_activations.fetch_add(1, std::memory_order_relaxed) + 1;
       uint64_t peak = c.peak_live_activations.load(std::memory_order_relaxed);
       while (static_cast<uint64_t>(live) > peak &&
              !c.peak_live_activations.compare_exchange_weak(peak, static_cast<uint64_t>(live),
                                                             std::memory_order_relaxed)) {
       }
+      owner->ledger_link(this, shard);
       owner->on_activation_created(this);
     }
 
     ~Activation() {
-      owner->on_activation_destroyed(this);
+      owner->ledger_unlink(this);
       owner->counters_.live_activations.fetch_sub(1, std::memory_order_relaxed);
     }
 
@@ -511,6 +547,22 @@ class ExecutorCore {
     uint32_t cont_node = 0;
     std::shared_ptr<Collector> collector;
     uint32_t collector_index = 0;
+    /// Live-activation ledger links (see LedgerShard), guarded by the
+    /// mutex of shard `ledger_shard`.
+    Activation* ledger_prev = nullptr;
+    Activation* ledger_next = nullptr;
+    uint32_t ledger_shard = 0;
+  };
+
+  /// The live-activation ledger behind the stranded dump (deadlock,
+  /// watchdog and budget diagnostics): one intrusive list per shard
+  /// (worker, plus one for threads outside the pool), so an insert or
+  /// unlink never allocates. An activation joins its creator's shard and
+  /// leaves it from its destructor, which cannot finish while a dump
+  /// holds that shard — so the dump may read pending counters safely.
+  struct alignas(64) LedgerShard {
+    std::mutex mu;
+    Activation* head = nullptr;
   };
 
   /// Join object for kParMap (§9.2 dynamic parallelism): one child
@@ -528,17 +580,23 @@ class ExecutorCore {
   // -- Setup -----------------------------------------------------------------
 
   /// Point the core at the Machine's resolved config (after its
-  /// environment overrides) and arm the pool. Call once, from the
-  /// Machine's constructor, before any activation exists.
+  /// environment overrides), arm the pool, and size the counter and
+  /// ledger shards: `owner_shards` owners (the workers, or one for the
+  /// single-threaded simulator) plus one for threads outside the pool.
+  /// Call once, from the Machine's constructor, before any activation
+  /// exists.
   ///
   /// Resolves the *effective* topology here: the legacy flat knob
   /// (remote_penalty_ns_per_kb) with a default UMA topology maps onto
   /// MemoryTopology::flat(penalty) — one domain per worker, charging
   /// exactly the old per-KiB penalty — so pre-topology configs and
   /// benches reproduce byte-identically through the new path.
-  void init_exec(const ExecConfig* config) {
+  void init_exec(const ExecConfig* config, int owner_shards) {
     exec_config_ = config;
     pool_.set_enabled(config->activation_pool);
+    counters_.init_shards(owner_shards);
+    ledger_ = std::make_unique<LedgerShard[]>(static_cast<size_t>(owner_shards) + 1);
+    ledger_shards_ = owner_shards + 1;
     topo_ = config->topology;
     if (topo_.single_domain() && !topo_.models_cost() &&
         config->remote_penalty_ns_per_kb > 0) {
@@ -555,9 +613,10 @@ class ExecutorCore {
 
   /// Ready-queue level for a node: the §7 priority class, split by the
   /// facts engine's critical-path mark when cost_hints is on. Lower
-  /// level = drained first. Counts each promoted enqueue so RunStats
-  /// can report how often the hint actually steered the schedule.
-  int queue_level(const Node& n) {
+  /// level = drained first. Counts each promoted enqueue (into the
+  /// enqueuing thread's stat shard `shard`) so RunStats can report how
+  /// often the hint actually steered the schedule.
+  int queue_level(const Node& n, int shard) {
     if (!exec_config().use_priorities) return 0;
     const int base = static_cast<int>(n.priority) * 2;
     if (!exec_config().cost_hints) return base;
@@ -565,8 +624,8 @@ class ExecutorCore {
       // Split the tally by the mark's provenance: static unit-height
       // marks vs marks recomputed from a measured cost profile
       // (apply_sched_hints cost overload, docs/PROFILING.md).
-      (n.cost_hinted ? counters_.sched_cost_promotions : counters_.sched_hint_promotions)
-          .fetch_add(1, std::memory_order_relaxed);
+      counters_.add(shard, n.cost_hinted ? &StatShard::sched_cost_promotions
+                                         : &StatShard::sched_hint_promotions);
       return base;
     }
     return base + 1;
@@ -811,7 +870,8 @@ class ExecutorCore {
                      Ticks start) {
     Activation& act = *act_ptr;
     const Node& n = act.tmpl->nodes[node];
-    counters_.nodes_executed.fetch_add(1, std::memory_order_relaxed);
+    const int shard = machine().shard_of(worker);
+    counters_.add(shard, &StatShard::nodes_executed);
 
     auto take_input = [&](uint16_t port) -> Value {
       return std::move(act.slots[n.input_offset + port]);
@@ -841,7 +901,7 @@ class ExecutorCore {
         for (uint16_t i = 0; i < n.num_inputs; ++i) args.push_back(take_input(i));
 
         pull_blocks(std::span<Value>(args.data(), args.size()), worker, cost);
-        counters_.operator_invocations.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(shard, &StatShard::operator_invocations);
         const std::span<const ConsumeClass> classes =
             exec_config().unique_fastpath ? std::span<const ConsumeClass>(n.input_classes)
                                           : std::span<const ConsumeClass>();
@@ -918,8 +978,7 @@ class ExecutorCore {
             // Cost, timings, and CoW stats come from the successful
             // attempt only; failed attempts contribute their backoff.
             machine().op_note_success(t0, def, act, worker, virtual_start, arrival, cost);
-            counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
-            counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
+            count_cow(shard, ctx);
             if (fd.action == FaultAction::kCorrupt) {
               // Deterministically wrong-shaped result: consumers that
               // decompose it fault with exact provenance.
@@ -992,7 +1051,7 @@ class ExecutorCore {
             }
           }
           pull_blocks(std::span<Value>(args.data(), args.size()), worker, cost);
-          counters_.operator_invocations.fetch_add(1, std::memory_order_relaxed);
+          counters_.add(shard, &StatShard::operator_invocations);
           const uint64_t arrival = machine().op_arrival(def, member.op_index, plan != nullptr);
           // Members are pure by construction — the fusion pass only
           // chains pure operators — so every member is retry-eligible
@@ -1031,8 +1090,7 @@ class ExecutorCore {
               result = def.fn(ctx);
               machine().busy_end(worker);
               machine().op_note_success(t0, def, act, worker, virtual_start, arrival, cost);
-              counters_.cow_copies.fetch_add(ctx.cow_copies(), std::memory_order_relaxed);
-              counters_.cow_skipped.fetch_add(ctx.cow_skipped(), std::memory_order_relaxed);
+              count_cow(shard, ctx);
               if (fd.action == FaultAction::kCorrupt) result = Value::tuple({});
               machine().trace_from_core(worker, start + cost, TraceEventKind::kOpEnd,
                                         member.op_index, attempt);
@@ -1212,7 +1270,47 @@ class ExecutorCore {
     return cost;
   }
 
+  /// Fold one successful operator attempt's copy-on-write tallies into
+  /// the stat shard. Both are 0 on every builtin, so skip the writes.
+  void count_cow(int shard, const OpContext& ctx) {
+    if (ctx.cow_copies() != 0) counters_.add(shard, &StatShard::cow_copies, ctx.cow_copies());
+    if (ctx.cow_skipped() != 0) {
+      counters_.add(shard, &StatShard::cow_skipped, ctx.cow_skipped());
+    }
+  }
+
   // -- Diagnostics -----------------------------------------------------------
+
+  void ledger_link(Activation* a, int shard) {
+    LedgerShard& s = ledger_[static_cast<size_t>(shard)];
+    a->ledger_shard = static_cast<uint32_t>(shard);
+    std::lock_guard<std::mutex> lock(s.mu);
+    a->ledger_next = s.head;
+    if (s.head != nullptr) s.head->ledger_prev = a;
+    s.head = a;
+  }
+
+  void ledger_unlink(Activation* a) {
+    LedgerShard& s = ledger_[a->ledger_shard];
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (a->ledger_prev != nullptr) {
+      a->ledger_prev->ledger_next = a->ledger_next;
+    } else {
+      s.head = a->ledger_next;
+    }
+    if (a->ledger_next != nullptr) a->ledger_next->ledger_prev = a->ledger_prev;
+  }
+
+  /// Call `f(const Activation&)` for every live activation, each shard
+  /// under its lock. The order is unspecified (render_stranded sorts).
+  template <class F>
+  void for_each_live_activation(F&& f) {
+    for (int i = 0; i < ledger_shards_; ++i) {
+      LedgerShard& s = ledger_[static_cast<size_t>(i)];
+      std::lock_guard<std::mutex> lock(s.mu);
+      for (const Activation* a = s.head; a != nullptr; a = a->ledger_next) f(*a);
+    }
+  }
 
   /// Summarize one live activation for the stranded dump (deadlock and
   /// watchdog diagnostics), if it has unfired nodes.
@@ -1249,6 +1347,11 @@ class ExecutorCore {
   /// pooled activation is freed before the pool goes away.
   ActivationPool pool_;
   StatCounters counters_;
+  /// Live-activation ledger (see LedgerShard), sized by init_exec. Also
+  /// in the base subobject, so it outlives every activation the Machine's
+  /// queues still hold at teardown.
+  std::unique_ptr<LedgerShard[]> ledger_;
+  int ledger_shards_ = 0;
 
   // Per-run state. The program is carried per activation (Activation::prog),
   // so a batch of instances may span several compiled programs.

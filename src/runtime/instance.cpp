@@ -243,8 +243,10 @@ void InstanceManager::on_instance_drained(Runtime::RunState* rs) {
     latencies_.push_back(res.latency_ns);
     slot->result = std::move(res);
     slot->done = true;
+    // Notify under the lock: once a waiter sees the last slot done it may
+    // destroy the manager, cv_ included, so the notify must finish first.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------

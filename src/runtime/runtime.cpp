@@ -30,7 +30,7 @@ Runtime::Runtime(const OperatorRegistry& registry, RuntimeConfig config)
   if (n <= 0) n = 1;
   config_.num_workers = n;
   apply_exec_env_overrides(config_);
-  init_exec(&config_);
+  init_exec(&config_, n);
   if (topology().num_domains > 1) {
     domain_rr_ =
         std::vector<std::atomic<uint32_t>>(static_cast<size_t>(topology().num_domains));
@@ -82,8 +82,9 @@ void Runtime::trace_at(int64_t ts, int worker, TraceEventKind kind, int32_t op,
 }
 
 void Runtime::ws_flush_pending_trace(int worker) {
-  // Called between a successful pop and the item's outstanding decrement:
-  // the one window in which this worker may write its ring (tracing.h).
+  // Called right after a successful pop, while the worker holds the
+  // item's token: the one window in which it may write its ring
+  // (tracing.h).
   WsWorker& w = *ws_[worker];
   if (w.pending_steal_fails > 0) {
     trace(worker, TraceEventKind::kStealFail, -1, w.pending_steal_fails);
@@ -103,18 +104,6 @@ void Runtime::ws_flush_pending_trace(int worker) {
 // ---------------------------------------------------------------------------
 // Fault handling (docs/ROBUSTNESS.md)
 // ---------------------------------------------------------------------------
-
-void Runtime::ledger_add(Activation* act) {
-  LedgerShard& s = ledger_[(reinterpret_cast<uintptr_t>(act) >> 6) % kLedgerShards];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.acts.insert(act);
-}
-
-void Runtime::ledger_remove(Activation* act) {
-  LedgerShard& s = ledger_[(reinterpret_cast<uintptr_t>(act) >> 6) % kLedgerShards];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.acts.erase(act);
-}
 
 void Runtime::record_fault(RunState* rs, FaultInfo f, int32_t op_index) {
   counters_.faults_raised.fetch_add(1, std::memory_order_relaxed);
@@ -144,13 +133,9 @@ void Runtime::cancel_run(RunState* rs) {
 
 std::vector<StrandedActivation> Runtime::collect_stranded(const RunState* rs) {
   std::vector<StrandedActivation> out;
-  for (LedgerShard& shard : ledger_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (Activation* a : shard.acts) {
-      if (a->run != rs) continue;
-      append_stranded(*a, out);
-    }
-  }
+  for_each_live_activation([&](const Activation& a) {
+    if (a.run == rs) append_stranded(a, out);
+  });
   // Attribute the dump to the owning instance in manager mode; a plain
   // single run (instance_id 0) renders exactly as before.
   if (rs->instance_id != 0) {
@@ -199,12 +184,20 @@ void Runtime::fire_watchdog(RunState* rs) {
 
 void Runtime::enqueue_ready(const std::shared_ptr<Activation>& act, uint32_t node,
                             Ticks /*when*/) {
+  const int self = (tls_runtime == this) ? tls_worker : -1;
   const Node& n = act->tmpl->nodes[node];
-  const int priority = queue_level(n);
+  const int priority = queue_level(n, self >= 0 ? self : counters_.external_shard());
   int target = affinity_preference(*act, n);
   if (target >= config_.num_workers) target = -1;
 
-  static_cast<RunState*>(act->run)->outstanding.fetch_add(1, std::memory_order_acq_rel);
+  RunState* rs = static_cast<RunState*>(act->run);
+  if (self >= 0 && ws_[self]->batch_run == rs) {
+    // A successor of the item this worker is executing: published in one
+    // batch when the item finishes (publish_successors).
+    ws_[self]->batch.push_back(PendingItem{WorkItem{act, node}, priority, target});
+    return;
+  }
+  rs->outstanding.fetch_add(1, std::memory_order_acq_rel);
   ws_enqueue(WorkItem{act, node}, priority, target);
 }
 
@@ -236,7 +229,7 @@ uint64_t spin_iters_per_us() {
     constexpr uint64_t kProbeIters = 1 << 16;
     volatile uint64_t sink = 0;
     const Ticks t0 = now_ticks();
-    for (uint64_t i = 0; i < kProbeIters; ++i) sink += i;
+    for (uint64_t i = 0; i < kProbeIters; ++i) sink = sink + i;
     const Ticks elapsed = std::max<Ticks>(now_ticks() - t0, 1);
     return std::max<uint64_t>(kProbeIters * 1000 / static_cast<uint64_t>(elapsed), 16);
   }();
@@ -255,7 +248,7 @@ void Runtime::charge_remote(int /*domain_from*/, int /*domain_to*/, int64_t /*by
   volatile uint64_t sink = 0;
   while (now_ticks() < deadline) {
     const uint64_t burst = spin_iters_per_us();
-    for (uint64_t i = 0; i < burst; ++i) sink += i;
+    for (uint64_t i = 0; i < burst; ++i) sink = sink + i;
   }
 }
 
@@ -340,7 +333,6 @@ void Runtime::note_affinity(int op_index, int worker) {
 }
 
 void Runtime::on_activation_created(Activation* act) {
-  ledger_add(act);
   // Per-instance activation budget (instance.h). The first trip wins the
   // exchange, writes the deterministic diagnostic, and cancels only this
   // instance; siblings keep running. The count is schedule-independent
@@ -362,7 +354,9 @@ void Runtime::on_activation_created(Activation* act) {
   }
 }
 
-void Runtime::on_activation_destroyed(Activation* act) { ledger_remove(act); }
+int Runtime::current_shard() const {
+  return tls_runtime == this ? tls_worker : counters_.external_shard();
+}
 
 // ---------------------------------------------------------------------------
 // Work-stealing scheduler
@@ -376,19 +370,17 @@ void Runtime::on_activation_destroyed(Activation* act) { ledger_remove(act); }
 // worker only when one is advertised (one relaxed load on the hot path).
 // The seq_cst fences below pair with the parking protocol in
 // worker_loop: either the enqueuer observes the parked flag, or the
-// parking worker's recheck observes the enqueued item.
+// parking worker's recheck observes the enqueued item. A worker's own
+// enqueues while it executes an item are buffered and published in one
+// batch (publish_successors); ws_enqueue is the unbatched path, taken
+// by the run's caller and by enqueues for another run.
 
 void Runtime::ws_enqueue(WorkItem item, int priority, int target) {
   const int self = (tls_runtime == this) ? tls_worker : -1;
   if (self >= 0 && (target < 0 || target == self)) {
-    if (!ws_[self]->deques[priority].push(std::move(item))) {
-      // Ring full: spill into the own inbox — unbounded, still popped by
-      // this worker, so no work is ever dropped.
-      ws_[self]->inbox[priority].push(std::move(item));
-    }
-    counters_.sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (num_parked_.load(std::memory_order_relaxed) > 0) ws_wake_any_parked();
+    counters_.add(self, &StatShard::sched_local_enqueues);
+    ws_push_local(self, std::move(item), priority);
+    ws_wake_for_local_push();
     return;
   }
 
@@ -407,11 +399,29 @@ void Runtime::ws_enqueue(WorkItem item, int priority, int target) {
       }
     }
   }
-  ws_[dest]->inbox[priority].push(std::move(item));
   counters_.sched_injected_enqueues.fetch_add(1, std::memory_order_relaxed);
-  // A worker injecting is mid-execute (its safe window); anything else is
-  // the run's caller, which records into the external ring.
+  ws_inject(self, std::move(item), priority, dest);
+}
+
+void Runtime::ws_push_local(int self, WorkItem item, int priority) {
+  if (!ws_[self]->deques[priority].push(std::move(item))) {
+    // Ring full: spill into the own inbox — unbounded, still popped by
+    // this worker, so no work is ever dropped.
+    ws_[self]->inbox[priority].push(std::move(item));
+  }
+}
+
+void Runtime::ws_wake_for_local_push() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (num_parked_.load(std::memory_order_relaxed) > 0) ws_wake_any_parked();
+}
+
+void Runtime::ws_inject(int self, WorkItem item, int priority, int dest) {
+  // Recorded before the push: a worker injecting holds a token of the
+  // run (its safe window); anything else is the run's caller, which
+  // records into the external ring.
   trace(self, TraceEventKind::kInject, -1, dest);
+  ws_[dest]->inbox[priority].push(std::move(item));
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (ws_[dest]->parked.load(std::memory_order_relaxed)) ws_wake(dest);
 }
@@ -579,6 +589,7 @@ void Runtime::execute(const WorkItem& item, int worker) {
     counters_.items_purged.fetch_add(1, std::memory_order_relaxed);
     trace(worker, TraceEventKind::kPurge, op_index);
   } else {
+    ws_[worker]->batch_run = rs;
     try {
       execute_node(item.act, item.node, worker, 0);
     } catch (...) {
@@ -589,6 +600,66 @@ void Runtime::execute(const WorkItem& item, int worker) {
                    op_index);
     }
   }
+  publish_successors(worker, rs);
+}
+
+void Runtime::publish_successors(int worker, RunState* rs) {
+  // Everything run-scoped this item does — counter bumps, ring writes,
+  // wakes, touches of *rs — happens before the push that hands its token
+  // over: once that push lands, a thief may run the successor, drain the
+  // run, and the caller may read the rings and counters at once.
+  WsWorker& w = *ws_[worker];
+  w.batch_run = nullptr;
+  std::vector<PendingItem>& batch = w.batch;
+  const size_t k = batch.size();
+  size_t holder = k;  // the last successor bound for this worker's own deque
+  size_t local = 0;
+  for (size_t i = 0; i < k; ++i) {
+    if (batch[i].target == worker) batch[i].target = -1;
+    if (batch[i].target < 0) {
+      holder = i;
+      ++local;
+    }
+  }
+  if (local > 0) counters_.add(worker, &StatShard::sched_local_enqueues, local);
+  if (local < k) {
+    counters_.sched_injected_enqueues.fetch_add(k - local, std::memory_order_relaxed);
+  }
+
+  if (holder == k) {
+    // Every successor (if any) crosses to another worker's inbox: hold
+    // this item's token until all of them are pushed and woken.
+    if (k > 0) rs->outstanding.fetch_add(static_cast<int64_t>(k), std::memory_order_acq_rel);
+    for (PendingItem& p : batch) ws_inject(worker, std::move(p.item), p.priority, p.target);
+    batch.clear();
+    release_token(rs);
+    return;
+  }
+
+  if (k > 1) {
+    rs->outstanding.fetch_add(static_cast<int64_t>(k - 1), std::memory_order_acq_rel);
+  }
+  for (size_t i = 0; i < k; ++i) {
+    if (i == holder) continue;
+    PendingItem& p = batch[i];
+    if (p.target < 0) {
+      ws_push_local(worker, std::move(p.item), p.priority);
+      ws_wake_for_local_push();
+    } else {
+      ws_inject(worker, std::move(p.item), p.priority, p.target);
+    }
+  }
+  PendingItem token = std::move(batch[holder]);
+  batch.clear();
+  // The hand-off: the successor inherits this item's token. No wake —
+  // unless a thief takes it first, this worker pops it itself (it is the
+  // newest entry of its own deque at its level, or sits in its own inbox
+  // after a spill) before it could park. Nothing run-scoped may follow
+  // this push.
+  ws_push_local(worker, std::move(token.item), token.priority);
+}
+
+void Runtime::release_token(RunState* rs) {
   if (rs->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     if (rs->manager != nullptr) {
       // Manager mode: the drained instance is finalized inline on this
@@ -731,8 +802,9 @@ void Runtime::finish_run_bookkeeping() {
             [](const NodeTiming& a, const NodeTiming& b) { return a.seq < b.seq; });
   if (trace_enabled_) {
     // Safe to read every ring: the drain observed outstanding == 0, and
-    // the acq_rel decrement chain gives this thread happens-before with
-    // all workers' ring writes (tracing.h).
+    // the chain of token hand-offs (push → pop) and acq_rel decrements
+    // gives this thread happens-before with all workers' ring writes
+    // (tracing.h).
     for (const TraceRing& r : trace_rings_) {
       r.collect(merged_trace_);
       trace_overwritten_ += r.overwritten();

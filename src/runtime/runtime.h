@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "src/runtime/executor_core.h"
@@ -106,12 +105,16 @@ class Runtime : public ExecutorCore<Runtime> {
     std::atomic<bool> cancelled{false};
     bool watchdog_fired = false;     // caller thread only
     std::string watchdog_message;    // written before cancellation
-    /// Queued + executing work items. The run is complete when this
-    /// drains to zero: every enqueue increments, every completed
-    /// execution decrements, and an executing item performs all of its
-    /// enqueues before its own decrement. Manager mode biases this by a
-    /// +1 submission token held across the root spawn, so a transient
-    /// zero mid-spawn cannot finalize the instance early.
+    /// Queued + executing work items, one token each. The run is
+    /// complete when this drains to zero. A worker publishes the k
+    /// successors of the item it executed in one batch: the executing
+    /// item's token passes to the last successor bound for the worker's
+    /// own deque, so the count moves by k-1 (no RMW at all for k = 1);
+    /// with no such successor the worker adds k, pushes, then drops its
+    /// own token. Root spawns from the caller add 1 per enqueue. Manager
+    /// mode biases this by a +1 submission token held across the root
+    /// spawn, so a transient zero mid-spawn cannot finalize the instance
+    /// early. See docs/RUNTIME.md "Termination".
     std::atomic<int64_t> outstanding{0};
     int64_t watchdog_budget_ns = 0;
 
@@ -153,15 +156,14 @@ class Runtime : public ExecutorCore<Runtime> {
     Ticks busy_since = 0;
   };
 
-  /// Live-activation ledger, sharded to keep registration off the hot
-  /// path's single lock. Feeds the deadlock diagnostic and the watchdog
-  /// dump; an activation's destructor cannot finish while a dump holds
-  /// its shard, so the dump may read pending counters safely.
-  struct LedgerShard {
-    std::mutex mu;
-    std::unordered_set<Activation*> acts;
+  /// A successor buffered by the executing item (see RunState::
+  /// outstanding): its queue level and its target worker (-1 = the
+  /// executing worker's own deque).
+  struct PendingItem {
+    WorkItem item;
+    int priority = 0;
+    int target = -1;
   };
-  static constexpr size_t kLedgerShards = 16;
 
   /// Per-worker state of the work-stealing scheduler: one bounded
   /// Chase–Lev deque and one unbounded MPSC injection queue per priority
@@ -182,6 +184,12 @@ class Runtime : public ExecutorCore<Runtime> {
     int64_t pending_park_ns = 0;    // total time slept since last flush
     int64_t pending_steal_fails = 0;
     bool has_pending_park = false;
+    // Owner-private successor batch of the item being executed (reused
+    // across items, so it stops allocating once warm). batch_run is that
+    // item's run; null outside execute(), and enqueues for other runs
+    // take the unbatched path.
+    std::vector<PendingItem> batch;
+    RunState* batch_run = nullptr;
   };
 
   // -- MachineModel hooks (called by ExecutorCore; see executor_core.h) --
@@ -206,15 +214,21 @@ class Runtime : public ExecutorCore<Runtime> {
   int last_affinity_worker(int op_index);
   void note_affinity(int op_index, int worker);
   void on_activation_created(Activation* act);
-  void on_activation_destroyed(Activation* act);
+  int shard_of(int worker) const { return worker; }
+  int current_shard() const;
 
   void worker_loop(int worker);
   void ws_enqueue(WorkItem item, int priority, int target);
+  void ws_push_local(int self, WorkItem item, int priority);
+  void ws_wake_for_local_push();
+  void ws_inject(int self, WorkItem item, int priority, int dest);
   bool ws_try_pop(int worker, WorkItem& out);
   bool ws_has_work(int worker) const;
   void ws_wake(int worker);    // notify one specific parked worker
   void ws_wake_any_parked();   // notify some parked worker, if any
   void execute(const WorkItem& item, int worker);
+  void publish_successors(int worker, RunState* rs);
+  void release_token(RunState* rs);
 
   void reset_run_accumulators();
   void finish_run_bookkeeping();
@@ -233,8 +247,6 @@ class Runtime : public ExecutorCore<Runtime> {
   void record_fault(RunState* rs, FaultInfo f, int32_t op_index = -1);
   void cancel_run(RunState* rs);
   void fire_watchdog(RunState* rs);
-  void ledger_add(Activation* act);
-  void ledger_remove(Activation* act);
   std::vector<StrandedActivation> collect_stranded(const RunState* rs);
   std::string dump_busy_workers();
 
@@ -257,7 +269,6 @@ class Runtime : public ExecutorCore<Runtime> {
   std::vector<std::unique_ptr<WorkerData>> worker_data_;
   std::vector<std::atomic<int>> op_last_worker_;  // operator-affinity memory
   std::vector<std::atomic<uint64_t>> op_arrivals_;  // per-operator arrival counters
-  std::array<LedgerShard, kLedgerShards> ledger_;
 
   std::mutex run_mu_;  // serializes run() calls (and whole manager sessions)
   /// Whether busy_begin/busy_end maintain the per-worker busy-op dump.

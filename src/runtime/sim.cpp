@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "src/support/clock.h"
@@ -60,12 +59,9 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   SimConfig config;
 
-  // Declared before `ready`: activation destructors unregister from
-  // live_acts, so it must outlive any queued activation if a run aborts
-  // with items still enqueued. (The pool and counters live in the base
-  // subobject, which outlives every member.)
-  std::unordered_set<Activation*> live_acts;
-
+  // (The pool, counters and live-activation ledger live in the base
+  // subobject, which outlives every member — so activations still queued
+  // here when a run aborts unlink safely.)
   std::vector<ReadyItem> ready;  // unsorted; selection scans (small queues)
   std::vector<Ticks> proc_avail;
   std::vector<Ticks> proc_busy;
@@ -94,7 +90,7 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
 
   Impl(const OperatorRegistry& r, const SimConfig& c)
       : ExecutorCore<SimRuntime::Impl>(r), config(c) {
-    init_exec(&config);
+    init_exec(&config, /*owner_shards=*/1);
     proc_avail.assign(config.num_procs, 0);
     proc_busy.assign(config.num_procs, 0);
     if (topology().num_domains > 1) {
@@ -131,18 +127,18 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
   /// instance's. Batch-mode entries are attributed to their instance.
   std::vector<StrandedActivation> collect_stranded(const SimInstance* filter = nullptr) {
     std::vector<StrandedActivation> out;
-    for (Activation* a : live_acts) {
-      const SimInstance* si = static_cast<const SimInstance*>(a->run);
-      if (filter != nullptr && si != filter) continue;
+    for_each_live_activation([&](const Activation& a) {
+      const SimInstance* si = static_cast<const SimInstance*>(a.run);
+      if (filter != nullptr && si != filter) return;
       const size_t before = out.size();
-      append_stranded(*a, out);
+      append_stranded(a, out);
       if (si->id != 0) {
         for (size_t i = before; i < out.size(); ++i) {
           out[i].instance = si->id;
           out[i].program = si->program_name;
         }
       }
-    }
+    });
     return out;
   }
 
@@ -161,13 +157,13 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     // Mirror the threaded scheduler's counter schema: the simulator has
     // one virtual ready queue, so every enqueue is "local" and the
     // steal/park/wakeup counters stay zero.
-    counters_.sched_local_enqueues.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(0, &StatShard::sched_local_enqueues);
     ReadyItem item;
     item.act = act;
     item.node = node;
     item.ready = when;
     item.seq = next_seq++;
-    item.priority = queue_level(n);
+    item.priority = queue_level(n, 0);
     item.preferred = affinity_preference(*act, n);
     ready.push_back(std::move(item));
   }
@@ -260,8 +256,12 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
     op_last_proc[op_index] = proc;
   }
 
+  // One thread drives the whole virtual machine: a single stat and
+  // ledger shard, written with plain loads and stores.
+  int shard_of(int /*proc*/) const { return 0; }
+  int current_shard() const { return 0; }
+
   void on_activation_created(Activation* act) {
-    live_acts.insert(act);
     // Per-instance activation budget, counted only when something could
     // consume it (a budget is set, or a batch instance reports the
     // count). The trip message matches the threaded runtime's byte for
@@ -279,7 +279,6 @@ struct SimRuntime::Impl : ExecutorCore<SimRuntime::Impl> {
       purge_pending = true;
     }
   }
-  void on_activation_destroyed(Activation* act) { live_acts.erase(act); }
 
   // -- Discrete-event scheduler ----------------------------------------------
 

@@ -11,13 +11,17 @@
 // schema, so the same exporters serve both executors.
 //
 // Soundness of the lock-free design rests on one invariant: a ring is
-// written only (a) by its owning worker between popping a work item and
-// decrementing the run's outstanding counter, or (b) by the run's caller
-// thread, which is also the only reader and reads only after the drain
-// observed outstanding == 0. Events a worker would otherwise produce
-// while idle (park intervals, dry steal scans) are kept in worker-local
-// state and flushed at the next successful pop, which restores the
-// invariant without losing the data. See docs/OBSERVABILITY.md.
+// written only (a) by its owning worker while it holds a work item's
+// outstanding-work token — from the pop to its last run-scoped write
+// before it gives the token up, either by the push that hands the token
+// to a successor on its own deque or by its decrement of the run's
+// outstanding counter (Runtime::publish_successors) — or (b) by the
+// run's caller thread, which is also the only reader and reads only
+// after the drain observed outstanding == 0. Events a worker would
+// otherwise produce while idle (park intervals, dry steal scans) are
+// kept in worker-local state and flushed at the next successful pop,
+// which restores the invariant without losing the data. See
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -62,11 +63,45 @@ class BlockHome {
   std::atomic<uint64_t> packed_{0};
 };
 
+class BlockBase;
+
+/// Owning handle to a data block: an intrusive reference count kept in
+/// the block itself (§2.1's reference-counted blocks). The count is what
+/// the copy-on-write rule reads, so its orderings are part of the
+/// contract: unique() is an acquire load, and the decrement is a release
+/// followed by an acquire fence before the delete. A holder that sees
+/// itself unique therefore happens-after every other holder's last read
+/// of the block and the drop of its reference, and may write in place.
+class BlockRef {
+ public:
+  BlockRef() = default;
+  /// Adopt a freshly allocated block (reference count 0).
+  explicit BlockRef(BlockBase* fresh);
+  BlockRef(const BlockRef& other) noexcept;
+  BlockRef(BlockRef&& other) noexcept : p_(other.p_) { other.p_ = nullptr; }
+  BlockRef& operator=(BlockRef other) noexcept {
+    std::swap(p_, other.p_);
+    return *this;
+  }
+  ~BlockRef();
+
+  BlockBase* get() const { return p_; }
+  BlockBase* operator->() const { return p_; }
+  BlockBase& operator*() const { return *p_; }
+  friend bool operator==(const BlockRef& a, const BlockRef& b) { return a.p_ == b.p_; }
+
+  /// This is the only reference (acquire: see the class comment).
+  bool unique() const;
+
+ private:
+  BlockBase* p_ = nullptr;
+};
+
 /// Type-erased shared data block. Apps subclass via TypedBlock<T>.
 class BlockBase {
  public:
   virtual ~BlockBase() = default;
-  virtual std::shared_ptr<BlockBase> clone() const = 0;
+  virtual BlockRef clone() const = 0;
   /// Approximate payload size, used by the simulated-NUMA cost model and
   /// the data-affinity scheduler.
   virtual size_t byte_size() const = 0;
@@ -80,8 +115,37 @@ class BlockBase {
   void set_home(int worker, int domain) { home_.store(worker, domain); }
 
  private:
+  friend class BlockRef;
   BlockHome home_;
+  std::atomic<uint32_t> refs_{0};
 };
+
+inline BlockRef::BlockRef(BlockBase* fresh) : p_(fresh) {
+  if (p_ != nullptr) p_->refs_.store(1, std::memory_order_relaxed);
+}
+
+inline BlockRef::BlockRef(const BlockRef& other) noexcept : p_(other.p_) {
+  // A new reference is made from an existing one, which already orders
+  // it after the block's construction: relaxed suffices (as in
+  // shared_ptr).
+  if (p_ != nullptr) p_->refs_.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline BlockRef::~BlockRef() {
+  if (p_ == nullptr || p_->refs_.fetch_sub(1, std::memory_order_release) != 1) return;
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer does not model standalone fences; an acquire load of
+  // the final count gives it (and the program) the same ordering.
+  (void)p_->refs_.load(std::memory_order_acquire);
+#else
+  std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+  delete p_;
+}
+
+inline bool BlockRef::unique() const {
+  return p_->refs_.load(std::memory_order_acquire) == 1;
+}
 
 namespace detail {
 template <typename T>
@@ -116,9 +180,7 @@ template <typename T>
 class TypedBlock final : public BlockBase {
  public:
   explicit TypedBlock(T v) : data(std::move(v)) {}
-  std::shared_ptr<BlockBase> clone() const override {
-    return std::make_shared<TypedBlock<T>>(data);
-  }
+  BlockRef clone() const override { return BlockRef(new TypedBlock<T>(data)); }
   size_t byte_size() const override { return detail::payload_bytes(data); }
   const char* type_name() const override { return typeid(T).name(); }
 
@@ -151,12 +213,12 @@ class Value {
   static Value of(std::string v) {
     return Value(Storage{std::in_place_index<3>, std::make_shared<const std::string>(std::move(v))});
   }
-  static Value of_block(std::shared_ptr<BlockBase> b) {
+  static Value of_block(BlockRef b) {
     return Value(Storage{std::in_place_index<4>, std::move(b)});
   }
   template <typename T>
   static Value block(T data) {
-    return of_block(std::make_shared<TypedBlock<T>>(std::move(data)));
+    return of_block(BlockRef(new TypedBlock<T>(std::move(data))));
   }
   static Value tuple(std::vector<Value> elems) {
     auto mv = std::make_shared<MultiValue>();
@@ -215,8 +277,8 @@ class Value {
     if (p->use_count() == 1) return std::move((*p)->captures);
     return (*p)->captures;
   }
-  const std::shared_ptr<BlockBase>& block_ptr() const {
-    if (const auto* p = std::get_if<std::shared_ptr<BlockBase>>(&v_)) return *p;
+  const BlockRef& block_ptr() const {
+    if (const auto* p = std::get_if<BlockRef>(&v_)) return *p;
     throw RuntimeError(std::string("expected a data block, got ") + kind_name());
   }
 
@@ -232,14 +294,16 @@ class Value {
 
   /// Copy-on-write access: clones the block when the reference count
   /// shows other holders (the §2.1 contention rule). Returns whether a
-  /// copy was made.
+  /// copy was made. The uniqueness test is BlockRef::unique(), whose
+  /// acquire load orders the in-place write after the other holders'
+  /// reads.
   template <typename T>
   T& block_mut(bool* copied = nullptr) {
-    auto* slot = std::get_if<std::shared_ptr<BlockBase>>(&v_);
+    auto* slot = std::get_if<BlockRef>(&v_);
     if (slot == nullptr) {
       throw RuntimeError(std::string("expected a data block, got ") + kind_name());
     }
-    if (slot->use_count() > 1) {
+    if (!slot->unique()) {
       *slot = (*slot)->clone();
       if (copied != nullptr) *copied = true;
     } else if (copied != nullptr) {
@@ -259,11 +323,11 @@ class Value {
   /// the refcount would have forced a copy (counted as a skipped clone).
   template <typename T>
   T& block_mut_inplace(bool* was_shared = nullptr) {
-    auto* slot = std::get_if<std::shared_ptr<BlockBase>>(&v_);
+    auto* slot = std::get_if<BlockRef>(&v_);
     if (slot == nullptr) {
       throw RuntimeError(std::string("expected a data block, got ") + kind_name());
     }
-    if (was_shared != nullptr) *was_shared = slot->use_count() > 1;
+    if (was_shared != nullptr) *was_shared = !slot->unique();
     auto* typed = dynamic_cast<TypedBlock<T>*>(slot->get());
     if (typed == nullptr) {
       throw RuntimeError(std::string("data block holds ") + (*slot)->type_name() +
@@ -312,7 +376,7 @@ class Value {
  private:
   using Storage = std::variant<std::monostate, int64_t, double,
                                std::shared_ptr<const std::string>,
-                               std::shared_ptr<BlockBase>, std::shared_ptr<MultiValue>,
+                               BlockRef, std::shared_ptr<MultiValue>,
                                std::shared_ptr<Closure>>;
   explicit Value(Storage v) : v_(std::move(v)) {}
   Storage v_;

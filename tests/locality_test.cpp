@@ -326,8 +326,12 @@ TEST(LocalityCost, ThreadedStealSplitSumsToTotalSteals) {
     // The split is keyed off the victim's actual domain: under one
     // domain every steal is local; under per-worker domains every
     // cross-worker steal is remote.
-    if (topo.single_domain()) EXPECT_EQ(s.sched_remote_steals, 0u);
-    if (topo.num_domains == 0) EXPECT_EQ(s.sched_local_steals, 0u);
+    if (topo.single_domain()) {
+      EXPECT_EQ(s.sched_remote_steals, 0u);
+    }
+    if (topo.num_domains == 0) {
+      EXPECT_EQ(s.sched_local_steals, 0u);
+    }
   }
 }
 

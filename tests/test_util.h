@@ -132,9 +132,13 @@ struct ExecutorOutcome {
 /// graph alone: deep-equal values, byte-identical error reports,
 /// identical graph-determined counters, and equal deterministic trace
 /// multisets. The front entry (threaded × 1 worker) is the reference
-/// every other entry is compared with. Schedule-dependent numbers
-/// (peak liveness, CoW hits, steals/parks, pool recycling, purge counts
-/// on cancelled runs) are deliberately not compared.
+/// every other entry is compared with. The graph-determined counters
+/// include every per-worker sharded one (nodes, operator invocations,
+/// activations, CoW copies/skips, hint and cost promotions, and the
+/// local + injected enqueue total), so a lost shard increment fails
+/// here. Schedule-dependent numbers (peak liveness, the local/injected
+/// split, steals/parks, pool recycling, purge counts on cancelled runs)
+/// are deliberately not compared.
 ///
 /// Shared knobs set on config() apply to every executor, so a test can
 /// sweep e.g. affinity or retry policy across the whole matrix.
@@ -229,6 +233,13 @@ class ExecutorFixture {
       EXPECT_EQ(got.stats.faults_injected, ref.stats.faults_injected) << where;
       EXPECT_EQ(got.stats.retries, ref.stats.retries) << where;
       EXPECT_EQ(got.stats.retries_exhausted, ref.stats.retries_exhausted) << where;
+      EXPECT_EQ(got.stats.cow_copies, ref.stats.cow_copies) << where;
+      EXPECT_EQ(got.stats.cow_skipped, ref.stats.cow_skipped) << where;
+      EXPECT_EQ(got.stats.sched_hint_promotions, ref.stats.sched_hint_promotions) << where;
+      EXPECT_EQ(got.stats.sched_cost_promotions, ref.stats.sched_cost_promotions) << where;
+      EXPECT_EQ(got.stats.sched_local_enqueues + got.stats.sched_injected_enqueues,
+                ref.stats.sched_local_enqueues + ref.stats.sched_injected_enqueues)
+          << where;
       if (got.trace_overwritten == 0 && ref.trace_overwritten == 0) {
         EXPECT_EQ(got.trace, ref.trace) << where;
       }

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -125,6 +126,19 @@ std::set<std::string> flag_tokens(const std::string& text) {
   return flags;
 }
 
+// Every `DELIRIUM_*` variable name in a text.
+std::set<std::string> env_tokens(const std::string& text) {
+  std::set<std::string> names;
+  constexpr std::string_view kPrefix = "DELIRIUM_";
+  for (size_t i = text.find(kPrefix); i != std::string::npos; i = text.find(kPrefix, i)) {
+    size_t end = i + kPrefix.size();
+    while (end < text.size() && (std::isupper(text[end]) || text[end] == '_')) ++end;
+    names.insert(text.substr(i, end - i));
+    i = end;
+  }
+  return names;
+}
+
 TEST(Cli, HelpNamesEveryDocumentedFlag) {
   // delc --help and docs/CLI.md must name exactly the same flag set —
   // a flag added to one without the other fails here.
@@ -151,13 +165,23 @@ TEST(Cli, HelpNamesEveryDocumentedFlag) {
   for (const std::string& flag : doc_flags) {
     EXPECT_TRUE(help_flags.count(flag)) << flag << " missing from delc --help";
   }
-  // The env knobs must be documented alongside the flags.
-  for (const char* env : {"DELIRIUM_EXECUTOR", "DELIRIUM_AFFINITY",
-                          "DELIRIUM_INJECT_FAULTS", "DELIRIUM_RETRIES",
-                          "DELIRIUM_TRACE", "DELIRIUM_TRACE_CAPACITY",
-                          "DELIRIUM_ACTIVATION_POOL"}) {
-    EXPECT_NE(cli_md.find(env), std::string::npos) << env << " missing from docs/CLI.md";
-    EXPECT_NE(help.find(env), std::string::npos) << env << " missing from delc --help";
+  // The env knobs: delc --help's environment list and the knob table of
+  // docs/CLI.md (its "| `DELIRIUM_...` |" rows) must name the same set.
+  std::set<std::string> doc_knobs;
+  std::istringstream doc_lines(cli_md);
+  for (std::string line; std::getline(doc_lines, line);) {
+    if (line.rfind("| `DELIRIUM_", 0) == 0) {
+      const std::set<std::string> row = env_tokens(line.substr(0, line.find('`', 3) + 1));
+      doc_knobs.insert(row.begin(), row.end());
+    }
+  }
+  const std::set<std::string> help_knobs = env_tokens(help);
+  ASSERT_FALSE(doc_knobs.empty());
+  for (const std::string& env : doc_knobs) {
+    EXPECT_TRUE(help_knobs.count(env)) << env << " missing from delc --help";
+  }
+  for (const std::string& env : help_knobs) {
+    EXPECT_TRUE(doc_knobs.count(env)) << env << " missing from docs/CLI.md's knob table";
   }
 }
 

@@ -212,6 +212,48 @@ TEST(TraceEvents, SimAndThreadedAgreeOnCleanRun) {
   }
 }
 
+TEST(TraceEvents, RepeatedEightWorkerRunsNeverDrainEarlyOrLoseEvents) {
+  // A worker hands its item's outstanding-work token to the last
+  // successor it pushes onto its own deque; a thief can then run that
+  // successor and drain the run at once. Every count and every event
+  // the worker produced must be in place before that push: the drain
+  // never fires early, and nothing recorded after it is lost.
+  ScopedEnv env = hermetic_env();
+  auto reg = testing::builtin_registry();
+  CompiledProgram program = compile_or_throw(R"(
+fib(n) if less_than(n, 2) then n else add(fib(sub(n, 1)), fib(sub(n, 2)))
+main() fib(10)
+)",
+                                             *reg);
+  RuntimeConfig config;
+  config.enable_tracing = true;
+  config.num_workers = 1;
+  Runtime reference(*reg, config);
+  ASSERT_EQ(reference.run(program).as_int(), 55);
+  const RunStats want = reference.last_stats();
+  const std::vector<std::string> want_trace =
+      deterministic_event_multiset(reference.trace_events(), *reg);
+  ASSERT_FALSE(want_trace.empty());
+
+  config.num_workers = 8;
+  Runtime runtime(*reg, config);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(runtime.run(program).as_int(), 55) << "run " << i;
+    const RunStats got = runtime.last_stats();
+    ASSERT_EQ(got.nodes_executed, want.nodes_executed) << "run " << i;
+    ASSERT_EQ(got.operator_invocations, want.operator_invocations) << "run " << i;
+    ASSERT_EQ(got.activations_created, want.activations_created) << "run " << i;
+    ASSERT_EQ(got.sched_hint_promotions, want.sched_hint_promotions) << "run " << i;
+    ASSERT_EQ(got.sched_cost_promotions, want.sched_cost_promotions) << "run " << i;
+    ASSERT_EQ(got.sched_local_enqueues + got.sched_injected_enqueues,
+              want.sched_local_enqueues + want.sched_injected_enqueues)
+        << "run " << i;
+    ASSERT_EQ(runtime.trace_events_overwritten(), 0u) << "run " << i;
+    ASSERT_EQ(deterministic_event_multiset(runtime.trace_events(), *reg), want_trace)
+        << "run " << i;
+  }
+}
+
 TEST(TraceEvents, SimAndThreadedAgreeUnderInjectedFaultsWithRetries) {
   ScopedEnv env = hermetic_env();
   auto reg = testing::builtin_registry();
